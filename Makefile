@@ -41,8 +41,8 @@ chaossmoke:
 
 # fidelitysmoke is the fidelity-ladder gate: the estimate and sampled rungs
 # must reproduce the cycle-exact SAC org decision on all 16 Table-4
-# workloads, the sampled rung must stay byte-identical across chip-worker
-# counts, exact runs must stay unlabelled (byte-identical to pre-ladder
+# workloads, the sampled rung must stay byte-identical across repeated
+# runs, exact runs must stay unlabelled (byte-identical to pre-ladder
 # output), and the 16-workload estimate sweep must finish in well under a
 # second.
 fidelitysmoke:
@@ -99,7 +99,7 @@ check: vet fieldalign race shuffle smoke chaossmoke fidelitysmoke clustersmoke f
 # single iteration — it catches benchmarks broken by API drift without
 # paying for a measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'StepParallel|SimulatorThroughput$$|IdleFastForward|LLCLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SimulatorThroughput$$|IdleFastForward|LLCLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$' -benchtime 1x .
 
 # loadsmoke is the serving-throughput gate: sacload drives an in-process sacd
 # over real loopback HTTP for 30 seconds and fails if the warm batch path
@@ -109,9 +109,9 @@ loadsmoke:
 
 # benchguard is the perf-regression gate: a full Fig 8 sweep with no
 # observer attached must stay within 1% of the newest recorded allocation
-# baseline, the serial stepper's sim-cycles/s must stay within tolerance of
-# the newest recorded throughput, and the warmed batch serving path must
-# stay within tolerance of the newest recorded jobs/s (see
+# baseline, the default-options cycle loop's sim-cycles/s must stay within
+# tolerance of the newest recorded throughput, and the warmed batch serving
+# path must stay within tolerance of the newest recorded jobs/s (see
 # benchguard_test.go; baselines are the highest-_sequence BENCH_*.json).
 # Takes minutes; run before merging cycle-loop or serving-path changes.
 benchguard:

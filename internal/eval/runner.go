@@ -44,14 +44,6 @@ type Runner struct {
 	// GOMAXPROCS; 1 recovers the fully serial engine. It must be set before
 	// the first run; later changes have no effect.
 	Parallelism int
-	// ChipWorkers sets each simulation's intra-run chip parallelism
-	// (gpu.RunOpts.Workers); results are bit-identical at any value. 0
-	// auto-budgets against the cell pool: chip workers × Parallelism never
-	// exceeds GOMAXPROCS, so a wide sweep saturates cores with cells and
-	// runs each simulation serially, while a single-cell run (Parallelism 1)
-	// gets every core as chip workers. Like Parallelism, set it before the
-	// first run.
-	ChipWorkers int
 	// Faults, when set, injects this fault plan into every simulation
 	// (per-request plans in RunRequest override it). Plans key the memo, so
 	// faulted and healthy runs of the same cell never collide.
@@ -265,20 +257,6 @@ func (r *Runner) workers() chan struct{} {
 	return r.sem
 }
 
-// chipWorkers resolves the per-simulation worker count against the shared
-// parallelism budget: cells × chip workers stays within GOMAXPROCS unless
-// the caller overrides ChipWorkers explicitly.
-func (r *Runner) chipWorkers() int {
-	if r.ChipWorkers != 0 {
-		return r.ChipWorkers
-	}
-	w := runtime.GOMAXPROCS(0) / cap(r.workers())
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // lookup finds or creates the entry for key. The second result reports
 // whether the caller became the leader and must execute the simulation;
 // followers wait on the entry's done channel instead.
@@ -384,7 +362,7 @@ func (r *Runner) execute(e *runEntry, cfg gpu.Config, spec workload.Spec, plan *
 		}
 		r.cellDone(e, spec, cfg, plan, fid)
 	}()
-	res, err := r.sim()(cfg, spec, gpu.RunOpts{Faults: plan, Ctx: ctx, Workers: r.chipWorkers(), Fidelity: fid})
+	res, err := r.sim()(cfg, spec, gpu.RunOpts{Faults: plan, Ctx: ctx, Fidelity: fid})
 	if err != nil {
 		e.err = &CellError{Benchmark: spec.Name, Org: cfg.Org.String(), Faults: plan.Key(), Err: err}
 		return

@@ -30,7 +30,7 @@ func TestZeroFaultPlanMatchesBaseline(t *testing.T) {
 	spec := tinyWorkload()
 	base := mustRun(t, cfg, spec)
 	for _, plan := range []*fault.Plan{nil, {}} {
-		r, err := RunWithFaults(cfg, spec, plan)
+		r, err := RunWith(cfg, spec, RunOpts{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 	cfg := tinyConfig().WithOrg(llc.SAC)
 	spec := tinyWorkload()
 	plan := mixedPlan(t)
-	first, err := RunWithFaults(cfg, spec, plan)
+	first, err := RunWith(cfg, spec, RunOpts{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 		t.Fatal("plan applied no fault events")
 	}
 	for i := 0; i < 2; i++ {
-		again, err := RunWithFaults(cfg, spec, plan)
+		again, err := RunWith(cfg, spec, RunOpts{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestFaultedRunsAllOrgs(t *testing.T) {
 	plan := mixedPlan(t)
 	base := mustRun(t, tinyConfig(), spec)
 	for _, org := range llc.Orgs() {
-		r, err := RunWithFaults(tinyConfig().WithOrg(org), spec, plan)
+		r, err := RunWith(tinyConfig().WithOrg(org), spec, RunOpts{Faults: plan})
 		if err != nil {
 			t.Fatalf("%s: %v", org, err)
 		}
@@ -85,7 +85,7 @@ func TestDeadSliceRunCompletes(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	base := mustRun(t, cfg, tinyWorkload())
-	r, err := RunWithFaults(cfg, tinyWorkload(), plan)
+	r, err := RunWith(cfg, tinyWorkload(), RunOpts{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestWatchdogCatchesWedgedRing(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	cfg.WatchdogCycles = 20_000
-	_, err = RunWithFaults(cfg, tinyWorkload(), plan)
+	_, err = RunWith(cfg, tinyWorkload(), RunOpts{Faults: plan})
 	var stall *StallError
 	if !errors.As(err, &stall) {
 		t.Fatalf("wedged run returned %v, want a StallError", err)
@@ -182,34 +182,5 @@ func TestDegradedArchStaysValid(t *testing.T) {
 	}
 	if arch.BInter >= tinyConfig().ArchParams().BInter {
 		t.Fatalf("BInter %v not degraded", arch.BInter)
-	}
-}
-
-// Fault edges land in the serial pre-phase of the cycle, so a plan whose
-// throttle edges fire while ring traffic is in flight must produce the same
-// run at any chip-worker count. SM-side placement maximizes the cross-chip
-// traffic the xchip throttles act on.
-func TestFaultIdenticalAcrossChipWorkers(t *testing.T) {
-	cfg := tinyConfig().WithOrg(llc.SMSide)
-	spec := tinyWorkload()
-	plan := mixedPlan(t)
-	serial, err := RunWith(cfg, spec, RunOpts{Faults: plan, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.FaultEvents == 0 {
-		t.Fatal("plan applied no fault events")
-	}
-	if serial.RingBytes == 0 {
-		t.Fatal("no ring traffic: faults never coincided with cross-chip messages")
-	}
-	for _, w := range []int{4} {
-		got, err := RunWith(cfg, spec, RunOpts{Faults: plan, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("faulted run diverged at workers=%d:\nserial %+v\ngot    %+v", w, serial, got)
-		}
 	}
 }

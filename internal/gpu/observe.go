@@ -27,12 +27,6 @@ type RunOpts struct {
 	// Ctx cancels the run: the cycle loop polls it on a coarse stride and
 	// returns ctx.Err() (wrapped) from Run. Nil means uncancellable.
 	Ctx context.Context
-	// Workers bounds intra-run chip parallelism: each cycle's per-chip
-	// phases tick concurrently on up to this many workers, bit-identical to
-	// serial at any count. 0 = auto (one worker per chip, capped at
-	// GOMAXPROCS); 1 = serial. Hardware-coherence configurations always run
-	// serially regardless.
-	Workers int
 	// Fidelity selects the backend rung ("estimate", "sampled", or
 	// "exact"/""). The cycle-exact engine itself ignores it — dispatch
 	// happens in internal/backend, which strips the field before handing an
@@ -41,8 +35,8 @@ type RunOpts struct {
 	Fidelity string
 }
 
-// RunWith builds a system, applies the options and runs it. Every package
-// entry point (Run, RunWithFaults) routes through here.
+// RunWith builds a system, applies the options and runs it. Run routes
+// through here.
 func RunWith(cfg Config, w Workload, o RunOpts) (*stats.Run, error) {
 	sys, err := New(cfg, w)
 	if err != nil {
@@ -58,9 +52,6 @@ func RunWith(cfg Config, w Workload, o RunOpts) (*stats.Run, error) {
 	}
 	if o.Ctx != nil {
 		sys.SetContext(o.Ctx)
-	}
-	if o.Workers != 0 {
-		sys.SetWorkers(o.Workers)
 	}
 	return sys.Run()
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,10 +166,11 @@ func TestBatchMalformed(t *testing.T) {
 // the terminal ones.
 func TestWatchFirstTerminal(t *testing.T) {
 	gate := make(chan struct{})
-	var gated bool
+	// BeforeRun fires on the worker and on the inline estimate path, so the
+	// first-call flag must be atomic.
+	var gated atomic.Bool
 	_, c := testDaemon(t, Config{Workers: 1, Chaos: Chaos{BeforeRun: func(string) {
-		if !gated {
-			gated = true
+		if gated.CompareAndSwap(false, true) {
 			<-gate
 		}
 	}}})

@@ -87,11 +87,6 @@ type Config struct {
 	// DefaultFidelity is the rung applied to jobs that name none (the sacd
 	// -fidelity flag); "" means exact. Unknown values fail at Submit.
 	DefaultFidelity string
-	// ChipWorkers sets each simulation's intra-run chip parallelism
-	// (bit-identical at any value). 0 auto-budgets against Workers so chip
-	// workers × concurrent simulations never oversubscribes cores; a daemon
-	// serving a single high-priority job at Workers=1 gets every core.
-	ChipWorkers int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the API mux
 	// (the sacd -pprof flag), so CPU and heap profiles of live serving are
 	// one curl away.
@@ -301,7 +296,6 @@ func New(cfg Config) *Server {
 		runner: &eval.Runner{
 			Base:        gpu.ScaledConfig(),
 			Parallelism: cfg.Workers,
-			ChipWorkers: cfg.ChipWorkers,
 			Store:       cfg.Store,
 			Obs:         observer,
 		},

@@ -173,8 +173,8 @@ type IssueResult struct {
 
 // Issue attempts to issue one memory access at cycle now. canInject reports
 // whether the SM's NoC port accepts a new request this cycle; accesses that
-// need the NoC retry next cycle when it is full. nextID supplies request
-// IDs.
+// need the NoC retry next cycle when it is full. nextID is the system's
+// request-ID counter; Issue increments it for each new request.
 func (s *SM) Issue(now int64, canInject bool, nextID *uint64) IssueResult {
 	if now < s.sleepUntil {
 		return IssueResult{}

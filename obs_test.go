@@ -112,50 +112,6 @@ func TestGoldenChromeTrace(t *testing.T) {
 	checkGolden(t, "trace.json", b.Bytes())
 }
 
-// TestAPICompatWrappers proves the deprecated entry points are bit-identical
-// to the options-based Run: same workload, same stats, field for field.
-func TestAPICompatWrappers(t *testing.T) {
-	spec, err := sac.Benchmark("RN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig().WithOrg(sac.SAC)
-	base, err := sac.Run(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaWorkload, err := sac.RunWorkload(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, viaWorkload) {
-		t.Fatal("RunWorkload diverged from Run")
-	}
-	viaFaults, err := sac.RunWithFaults(cfg, spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, viaFaults) {
-		t.Fatal("RunWithFaults(nil) diverged from Run")
-	}
-
-	plan, err := sac.ParseFaultPlan("dram:1.0@3000-9000*0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldStyle, err := sac.RunWithFaults(cfg, spec, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optStyle, err := sac.Run(cfg, spec, sac.WithFaults(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldStyle, optStyle) {
-		t.Fatal("WithFaults diverged from RunWithFaults")
-	}
-}
-
 // TestObserverDoesNotPerturbSimulation: with an observer attached, every
 // simulated outcome must be identical to the unobserved run. Only the
 // Skipped accounting may differ (metrics windows bound idle fast-forwards,

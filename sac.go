@@ -178,17 +178,6 @@ func WithContext(ctx context.Context) RunOption {
 	return func(o *gpu.RunOpts) { o.Ctx = ctx }
 }
 
-// WithWorkers sets intra-run chip parallelism: each simulated cycle's
-// per-chip phases tick concurrently on up to n workers (clamped to the chip
-// count), with results bit-identical to serial at any n. 0 = auto (one
-// worker per chip, capped at GOMAXPROCS); 1 = serial. Hardware-coherence
-// configurations always run serially. When combining many concurrent runs
-// (a sweep), prefer the Runner's ChipWorkers budget so cells × chip workers
-// do not oversubscribe cores.
-func WithWorkers(n int) RunOption {
-	return func(o *gpu.RunOpts) { o.Workers = n }
-}
-
 // Run executes workload w on cfg and returns the run statistics. Invalid
 // configurations and workloads come back as errors; no panic escapes to the
 // caller. Options attach fault plans, observers and cancellation:
@@ -208,13 +197,6 @@ func Run(cfg Config, w Workload, opts ...RunOption) (st *Stats, err error) {
 		err = &CellError{Benchmark: w.SourceName(), Org: cfg.Org.String(), Err: err}
 	}
 	return st, err
-}
-
-// RunWorkload executes an arbitrary workload source (e.g. a trace replay).
-//
-// Deprecated: Run accepts any Workload directly; call Run(cfg, w) instead.
-func RunWorkload(cfg Config, w Workload) (*Stats, error) {
-	return Run(cfg, w)
 }
 
 // System is a constructed simulator instance; use it instead of Run to
@@ -260,14 +242,6 @@ func LoadFaultPlan(path string) (*FaultPlan, error) { return fault.Load(path) }
 // events over the first horizon cycles, fully determined by seed.
 func GenerateFaultPlan(cfg Config, seed int64, n int, horizon int64) *FaultPlan {
 	return fault.Generate(seed, cfg.FaultShape(), n, horizon)
-}
-
-// RunWithFaults executes any workload source (a Spec or a trace replay) on
-// cfg with plan injected (nil or empty plan is exactly Run).
-//
-// Deprecated: call Run(cfg, w, WithFaults(plan)) instead.
-func RunWithFaults(cfg Config, w Workload, plan *FaultPlan) (*Stats, error) {
-	return Run(cfg, w, WithFaults(plan))
 }
 
 // StallError reports a watchdog abort: no request retired within
