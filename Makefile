@@ -58,11 +58,13 @@ clustersmoke:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -count=1 -run TestFleetEndToEnd ./cmd/saccoord
 
-# fuzz is a short smoke of the untrusted-input parsers (the trace reader).
+# fuzz is a short smoke of the untrusted-input parsers: the trace reader and
+# the jobs:batch body decoder (whose memo must agree with a fresh decode).
 # An exec-count budget keeps the wall time stable on single-core CI runners;
-# long campaigns run the same target with a time budget instead.
+# long campaigns run the same targets with a time budget instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 20000x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 20000x ./internal/server
 
 # vuln scans dependencies with govulncheck when it is installed; the gate is
 # advisory so offline checkouts (no way to install the tool) still pass.
@@ -99,7 +101,7 @@ check: vet fieldalign race shuffle smoke chaossmoke fidelitysmoke clustersmoke f
 # single iteration — it catches benchmarks broken by API drift without
 # paying for a measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'SimulatorThroughput$$|IdleFastForward|LLCLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SimulatorThroughput$$|IdleFastForward|LLCLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$|WarmBatch$$' -benchtime 1x .
 
 # loadsmoke is the serving-throughput gate: sacload drives an in-process sacd
 # over real loopback HTTP for 30 seconds and fails if the warm batch path

@@ -97,51 +97,18 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // handleBatch fans a batch out by ring placement in one pass (duplicates
 // join flights, unique keys dispatch). Same wire shape as sacd's.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var breq client.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	jobs, results, ok := c.batches.ReadBatch(w, r)
+	if !ok {
 		return
 	}
-	if v := r.Header.Get(client.TimeoutHeader); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid %s header %q", client.TimeoutHeader, v)
-			return
-		}
-		for i := range breq.Jobs {
-			if breq.Jobs[i].TimeoutMS == 0 {
-				breq.Jobs[i].TimeoutMS = ms
-			}
-		}
-	}
-	q := r.URL.Query()
-	results := q.Get("results") == "1" || q.Get("results") == "true"
-	sts, itemErrs, err := c.SubmitBatch(breq.Jobs)
+	sts, itemErrs, err := c.SubmitBatch(jobs, results)
 	switch {
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "%v", err)
-	case itemErrs != nil:
-		resp := client.BatchResponse{Jobs: make([]client.BatchItem, len(itemErrs))}
-		n := 0
-		for i, e := range itemErrs {
-			if e != "" {
-				resp.Jobs[i].Error = e
-				n++
-			}
-		}
-		resp.Error = fmt.Sprintf("batch rejected: %d of %d jobs invalid", n, len(itemErrs))
-		writeJSON(w, http.StatusBadRequest, resp)
 	default:
-		if results {
-			server.AttachResults(c, sts)
-		}
-		resp := client.BatchResponse{Jobs: make([]client.BatchItem, len(sts))}
-		for i := range sts {
-			resp.Jobs[i].Status = &sts[i]
-		}
-		writeJSON(w, http.StatusAccepted, resp)
+		server.WriteBatch(w, sts, itemErrs)
 	}
 }
 

@@ -60,7 +60,13 @@ func (w *testWorker) kill() {
 // startWorker boots a real server.Server over httptest and enrolls it.
 func startWorker(t *testing.T, coordURL, id string) *testWorker {
 	t.Helper()
-	s := server.New(server.Config{Workers: 2})
+	return startWorkerConfig(t, coordURL, id, server.Config{Workers: 2})
+}
+
+// startWorkerConfig is startWorker with an explicit server configuration.
+func startWorkerConfig(t *testing.T, coordURL, id string, cfg server.Config) *testWorker {
+	t.Helper()
+	s := server.New(cfg)
 	s.Start()
 	hs := httptest.NewServer(s.Handler())
 	agent, err := StartAgent(AgentConfig{
@@ -231,13 +237,19 @@ func runWave(t *testing.T, cc *client.Client, reqs []client.JobRequest) {
 func TestClusterGlobalDedup(t *testing.T) {
 	reg := obs.NewRegistry()
 	coord, hs := testCoordinator(t, reg)
-	startWorker(t, hs.URL, "worker-a")
-	startWorker(t, hs.URL, "worker-b")
+	// The cell simulates in milliseconds, so the worker holds it until the
+	// second submission has joined the first one's flight: the join is
+	// observed, not raced.
+	hold := server.Config{Workers: 2, Chaos: server.Chaos{BeforeRun: func(string) {
+		for deadline := time.Now().Add(10 * time.Second); coord.Fleet().DedupHits < 1 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}}}
+	startWorkerConfig(t, hs.URL, "worker-a", hold)
+	startWorkerConfig(t, hs.URL, "worker-b", hold)
 	waitLive(t, coord, 2)
 	ctx := context.Background()
 
-	// A heavier cell so the second submission lands while the first is still
-	// in flight.
 	req := tinyRequest("RN", "SAC", 4096)
 	clients := []*client.Client{newClient(hs.URL), newClient(hs.URL)}
 	var (

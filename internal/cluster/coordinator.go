@@ -163,6 +163,7 @@ type Coordinator struct {
 	closeCh chan struct{}
 	wg      sync.WaitGroup
 	m       *coordMetrics
+	batches *server.RequestMemo
 }
 
 // New returns a started Coordinator (its lapse watcher is running); Close
@@ -197,6 +198,7 @@ func New(cfg Config) *Coordinator {
 		jobs:    make(map[string]*cjob),
 		flights: make(map[string]*cflight),
 		closeCh: make(chan struct{}),
+		batches: server.NewRequestMemo(cfg.DefaultFidelity),
 	}
 	if reg := cfg.Registry; reg != nil {
 		c.m = &coordMetrics{
@@ -404,47 +406,44 @@ func (c *Coordinator) Submit(req client.JobRequest) (client.JobStatus, error) {
 	start := c.startJobLocked(j)
 	c.mu.Unlock()
 	start()
-	st, _ := c.Status(j.id)
-	return st, nil
+	return j.status(), nil
 }
 
-// SubmitBatch accepts up to client.MaxBatch jobs, making every flight
-// decision in one pass under the lock — duplicates inside the batch join the
-// first item's flight exactly like duplicates across clients, so a sweep
-// submitted as one batch still costs one worker execution per unique key.
-// Semantics mirror server.SubmitBatch: all-or-nothing, with per-item
-// validation errors ("" = valid) when any request is bad.
-func (c *Coordinator) SubmitBatch(reqs []client.JobRequest) ([]client.JobStatus, []string, error) {
-	if len(reqs) == 0 {
+// SubmitBatch accepts up to client.MaxBatch jobs decoded and resolved by a
+// server.RequestMemo, making every flight decision in one pass under the
+// lock — duplicates inside the batch join the first item's flight exactly
+// like duplicates across clients, so a sweep submitted as one batch still
+// costs one worker execution per unique key. Semantics mirror
+// server.SubmitBatch: all-or-nothing, with per-item validation errors ("" =
+// valid) when any request is bad, and with results, done statuses carry
+// their raw result bytes.
+func (c *Coordinator) SubmitBatch(items []server.BatchJob, results bool) ([]client.JobStatus, []string, error) {
+	if len(items) == 0 {
 		return nil, nil, errors.New("empty batch")
 	}
-	if len(reqs) > client.MaxBatch {
-		return nil, nil, fmt.Errorf("batch of %d jobs exceeds the limit of %d", len(reqs), client.MaxBatch)
+	if len(items) > client.MaxBatch {
+		return nil, nil, fmt.Errorf("batch of %d jobs exceeds the limit of %d", len(items), client.MaxBatch)
 	}
-	rjs := make([]server.ResolvedJob, len(reqs))
-	itemErrs := make([]string, len(reqs))
+	itemErrs := make([]string, len(items))
 	bad := false
-	for i, req := range reqs {
-		rj, err := server.ResolveRequest(req, c.cfg.DefaultFidelity)
-		if err != nil {
+	for i := range items {
+		if err := items[i].Err; err != nil {
 			itemErrs[i] = err.Error()
 			bad = true
-			continue
 		}
-		rjs[i] = rj
 	}
 	if bad {
 		return nil, itemErrs, nil
 	}
-	jobs := make([]*cjob, len(reqs))
-	starts := make([]func(), len(reqs))
+	jobs := make([]*cjob, len(items))
+	starts := make([]func(), len(items))
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
-	for i, req := range reqs {
-		j := c.newCJob(req, rjs[i])
+	for i := range items {
+		j := c.newCJob(items[i].Req, items[i].Job)
 		jobs[i] = j
 		c.jobs[j.id] = j
 		if c.m != nil {
@@ -458,7 +457,11 @@ func (c *Coordinator) SubmitBatch(reqs []client.JobRequest) ([]client.JobStatus,
 	}
 	sts := make([]client.JobStatus, len(jobs))
 	for i, j := range jobs {
-		sts[i], _ = c.Status(j.id)
+		st, raw := j.result()
+		if results {
+			st.Result = raw
+		}
+		sts[i] = st
 	}
 	c.logf("accepted batch of %d", len(jobs))
 	return sts, nil, nil
@@ -828,8 +831,35 @@ func (c *Coordinator) Status(id string) (client.JobStatus, bool) {
 	if j == nil {
 		return client.JobStatus{}, false
 	}
+	return j.status(), true
+}
+
+// status snapshots the job's status.
+func (j *cjob) status() client.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// result snapshots the job's status and, once it is done, its result in
+// canonical wire form (nil before then), under one lock.
+func (j *cjob) result() (client.JobStatus, json.RawMessage) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st := j.statusLocked()
+	if st.State != client.StateDone {
+		return st, nil
+	}
+	if j.raw == nil && j.run != nil {
+		if b, err := json.Marshal(j.run); err == nil {
+			j.raw = b
+		}
+	}
+	return st, j.raw
+}
+
+// statusLocked renders the job's status; the caller holds j.mu.
+func (j *cjob) statusLocked() client.JobStatus {
 	st := client.JobStatus{
 		ID:          j.id,
 		State:       j.state,
@@ -858,7 +888,7 @@ func (c *Coordinator) Status(id string) (client.JobStatus, bool) {
 		t := j.deadline
 		st.DeadlineAt = &t
 	}
-	return st, true
+	return st
 }
 
 func displayFidelity(fid string) string {
@@ -909,19 +939,7 @@ func (c *Coordinator) ResultRaw(id string) (json.RawMessage, client.JobStatus, b
 	if j == nil {
 		return nil, client.JobStatus{}, false
 	}
-	st, _ := c.Status(id)
-	if st.State != client.StateDone {
-		return nil, st, true
-	}
-	j.mu.Lock()
-	raw := j.raw
-	if raw == nil && j.run != nil {
-		if b, err := json.Marshal(j.run); err == nil {
-			j.raw = b
-			raw = b
-		}
-	}
-	j.mu.Unlock()
+	st, raw := j.result()
 	return raw, st, true
 }
 

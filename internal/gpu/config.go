@@ -193,6 +193,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: non-positive cache capacity")
 	case c.LLCWays < 2:
 		return fmt.Errorf("gpu: LLC needs >= 2 ways for partitioned organizations")
+	case c.L1Ways < 1:
+		return fmt.Errorf("gpu: L1 needs >= 1 way, got %d", c.L1Ways)
 	case c.ClusterBW <= 0 || c.SliceBW <= 0 || c.RingLinkBW <= 0 || c.ChannelBW <= 0:
 		return fmt.Errorf("gpu: non-positive bandwidth")
 	case c.WorkloadScale < 1:

@@ -62,6 +62,11 @@ func TestValidateCatchesCacheGeometry(t *testing.T) {
 		t.Fatal("odd L1 geometry accepted")
 	}
 	cfg = ScaledConfig()
+	cfg.L1Ways = 0 // once a division by zero inside Validate
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("zero L1 ways accepted")
+	}
+	cfg = ScaledConfig()
 	cfg.WorkloadScale = 0
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("zero workload scale accepted")

@@ -105,28 +105,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // estimate job) carry their raw result bytes inline, so a warm batch is one
 // round trip end to end.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var breq client.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	jobs, results, ok := s.batches.ReadBatch(w, r)
+	if !ok {
 		return
 	}
-	// The deadline header applies to every item that names no timeout of its
-	// own, mirroring the single-submit precedence.
-	if v := r.Header.Get(client.TimeoutHeader); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid %s header %q", client.TimeoutHeader, v)
-			return
-		}
-		for i := range breq.Jobs {
-			if breq.Jobs[i].TimeoutMS == 0 {
-				breq.Jobs[i].TimeoutMS = ms
-			}
-		}
-	}
-	q := r.URL.Query()
-	results := q.Get("results") == "1" || q.Get("results") == "true"
-	sts, itemErrs, err := s.SubmitBatch(breq.Jobs)
+	sts, itemErrs, err := s.SubmitBatch(jobs, results)
 	switch {
 	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShedding):
 		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterHint()))
@@ -136,17 +119,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "%v", err)
-	case itemErrs != nil:
-		writeJSON(w, http.StatusBadRequest, batchErrorResponse(itemErrs))
 	default:
-		if results {
-			AttachResults(s, sts)
-		}
-		resp := client.BatchResponse{Jobs: make([]client.BatchItem, len(sts))}
-		for i := range sts {
-			resp.Jobs[i].Status = &sts[i]
-		}
-		writeJSON(w, http.StatusAccepted, resp)
+		WriteBatch(w, sts, itemErrs)
 	}
 }
 

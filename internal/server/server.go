@@ -224,7 +224,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
 		return nil
 	}
-	latency := []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300}
+	// Inline estimate answers take well under a millisecond, so the buckets
+	// start at 50µs; exact simulations reach minutes.
+	latency := []float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300}
 	m := &metrics{
 		inflight:          reg.Gauge("sacd_inflight_workers", "Jobs currently executing."),
 		accepted:          reg.Counter("sacd_jobs_accepted_total", "Jobs accepted into the queue."),
@@ -256,9 +258,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 // Server is one serving instance.
 type Server struct {
-	cfg    Config
-	runner *eval.Runner
-	m      *metrics
+	cfg     Config
+	runner  *eval.Runner
+	m       *metrics
+	batches *RequestMemo
 
 	mu             sync.Mutex
 	cond           *sync.Cond
@@ -300,6 +303,7 @@ func New(cfg Config) *Server {
 			Obs:         observer,
 		},
 		m:       newMetrics(cfg.Registry),
+		batches: NewRequestMemo(cfg.DefaultFidelity),
 		jobs:    make(map[string]*job),
 		running: make(map[string]*job),
 		// flights deduplicate on the store key across clients; the runner
@@ -450,34 +454,12 @@ func (s *Server) submit(req client.JobRequest, pinnedID string, deadline time.Ti
 	if err != nil {
 		return client.JobStatus{}, err
 	}
-	lane, _ := laneIndex(req.Priority) // validated by ResolveRequest
-	now := time.Now()
-	if deadline.IsZero() && req.TimeoutMS > 0 {
-		deadline = now.Add(time.Duration(req.TimeoutMS) * time.Millisecond)
-	}
-	j := &job{
-		id:        pinnedID,
-		req:       req,
-		lane:      lane,
-		cfg:       rj.Cfg,
-		spec:      rj.Spec,
-		plan:      rj.Plan,
-		fidelity:  rj.Fidelity,
-		key:       rj.Key,
-		deadline:  deadline,
-		cancelCh:  make(chan struct{}),
-		doneCh:    make(chan struct{}),
-		state:     client.StateQueued,
-		submitted: now,
-	}
-	if j.id == "" {
-		j.id = newJobID()
-	}
+	j := newJob(pinnedID, req, rj, deadline, time.Now())
 	if rj.Fidelity == backend.Estimate {
 		// The estimate rung answers in microseconds: run it synchronously on
 		// the accept path — no queue slot, no journal record, no worker — and
 		// hand the client a terminal status in the submission response.
-		return s.runInline(j, false)
+		return s.submitInline(j)
 	}
 
 	s.mu.Lock()
@@ -501,8 +483,35 @@ func (s *Server) submit(req client.JobRequest, pinnedID string, deadline time.Ti
 	st := s.statusLocked(j)
 	s.mu.Unlock()
 	s.logf("accepted %s %s/%s lane=%s fidelity=%s key=%.12s",
-		j.id, j.spec.Name, j.cfg.Org, lanes[lane], backend.Display(j.fidelity), j.key)
+		j.id, j.spec.Name, j.cfg.Org, lanes[j.lane], backend.Display(j.fidelity), j.key)
 	return st, nil
+}
+
+// newJob builds the queued record of a resolved request. An empty id draws
+// a fresh one; a zero deadline derives from the request's TimeoutMS.
+func newJob(id string, req client.JobRequest, rj ResolvedJob, deadline, now time.Time) *job {
+	if id == "" {
+		id = newJobID()
+	}
+	if deadline.IsZero() && req.TimeoutMS > 0 {
+		deadline = now.Add(time.Duration(req.TimeoutMS) * time.Millisecond)
+	}
+	lane, _ := laneIndex(req.Priority) // validated by ResolveRequest
+	return &job{
+		id:        id,
+		req:       req,
+		lane:      lane,
+		cfg:       rj.Cfg,
+		spec:      rj.Spec,
+		plan:      rj.Plan,
+		fidelity:  rj.Fidelity,
+		key:       rj.Key,
+		deadline:  deadline,
+		cancelCh:  make(chan struct{}),
+		doneCh:    make(chan struct{}),
+		state:     client.StateQueued,
+		submitted: now,
+	}
 }
 
 // enqueueLocked journals the accept (unless journaled marks it already on
@@ -545,61 +554,42 @@ func (s *Server) enqueueLocked(j *job, journaled bool) error {
 	return nil
 }
 
-// SubmitBatch validates and enqueues up to client.MaxBatch jobs in one call.
-// Admission is all-or-nothing: if any request fails validation, itemErrs
-// carries one message per offending item (aligned with reqs, "" = valid) and
-// nothing is accepted; if the batch as a whole cannot be admitted (queue
-// cap, shedding, drain), err is the usual sentinel. On success every job is
-// admitted under one lock acquisition — a batch can never half-land around a
-// concurrent submitter — and estimate items are executed inline (first
-// occurrence of each key first, so in-batch duplicates hit the memo/store)
-// before the statuses, in request order, are returned.
-func (s *Server) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, itemErrs []string, err error) {
-	if len(reqs) == 0 {
+// SubmitBatch enqueues up to client.MaxBatch jobs decoded and resolved by a
+// RequestMemo. Admission is all-or-nothing: if any item failed validation,
+// itemErrs carries one message per offending item (aligned with items, "" =
+// valid) and nothing is accepted; if the batch as a whole cannot be admitted
+// (queue cap, shedding, drain), err is the usual sentinel. On success every
+// job is admitted under one lock acquisition — a batch can never half-land
+// around a concurrent submitter — and estimate items are executed inline
+// (first occurrence of each key first, so in-batch duplicates hit the
+// memo/store) before the statuses, in request order, are returned. With
+// results, done statuses carry their raw result bytes.
+func (s *Server) SubmitBatch(items []BatchJob, results bool) (sts []client.JobStatus, itemErrs []string, err error) {
+	if len(items) == 0 {
 		return nil, nil, errors.New("empty batch")
 	}
-	if len(reqs) > client.MaxBatch {
-		return nil, nil, fmt.Errorf("batch of %d jobs exceeds the limit of %d", len(reqs), client.MaxBatch)
+	if len(items) > client.MaxBatch {
+		return nil, nil, fmt.Errorf("batch of %d jobs exceeds the limit of %d", len(items), client.MaxBatch)
 	}
 	now := time.Now()
-	jobs := make([]*job, len(reqs))
+	jobs := make([]*job, len(items))
 	bad := false
-	itemErrs = make([]string, len(reqs))
+	itemErrs = make([]string, len(items))
 	nQueued := 0
-	for i, req := range reqs {
-		rj, rerr := ResolveRequest(req, s.cfg.DefaultFidelity)
-		if rerr != nil {
-			itemErrs[i] = rerr.Error()
+	for i := range items {
+		if err := items[i].Err; err != nil {
+			itemErrs[i] = err.Error()
 			bad = true
 			continue
 		}
-		lane, _ := laneIndex(req.Priority)
-		var deadline time.Time
-		if req.TimeoutMS > 0 {
-			deadline = now.Add(time.Duration(req.TimeoutMS) * time.Millisecond)
-		}
-		jobs[i] = &job{
-			id:        newJobID(),
-			req:       req,
-			lane:      lane,
-			cfg:       rj.Cfg,
-			spec:      rj.Spec,
-			plan:      rj.Plan,
-			fidelity:  rj.Fidelity,
-			key:       rj.Key,
-			deadline:  deadline,
-			cancelCh:  make(chan struct{}),
-			doneCh:    make(chan struct{}),
-			state:     client.StateQueued,
-			submitted: now,
-		}
-		if rj.Fidelity != backend.Estimate {
+		jobs[i] = newJob("", items[i].Req, items[i].Job, time.Time{}, now)
+		if jobs[i].fidelity != backend.Estimate {
 			nQueued++
 		}
 	}
 	if bad {
 		if s.m != nil {
-			s.m.rejected.Add(float64(len(reqs)))
+			s.m.rejected.Add(float64(len(items)))
 		}
 		return nil, itemErrs, nil
 	}
@@ -614,7 +604,7 @@ func (s *Server) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, 
 			if s.draining || s.closed {
 				s.mu.Unlock()
 				if s.m != nil {
-					s.m.rejected.Add(float64(len(reqs)))
+					s.m.rejected.Add(float64(len(items)))
 				}
 				return nil, nil, ErrDraining
 			}
@@ -623,7 +613,7 @@ func (s *Server) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, 
 		if aerr := s.admitLocked(j, false); aerr != nil {
 			s.mu.Unlock()
 			if s.m != nil {
-				s.m.rejected.Add(float64(len(reqs)))
+				s.m.rejected.Add(float64(len(items)))
 				if errors.Is(aerr, ErrShedding) {
 					s.m.shed.Inc()
 				}
@@ -634,7 +624,7 @@ func (s *Server) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, 
 	if nQueued > 0 && s.queued+nQueued > s.cfg.QueueCap {
 		s.mu.Unlock()
 		if s.m != nil {
-			s.m.rejected.Add(float64(len(reqs)))
+			s.m.rejected.Add(float64(len(items)))
 		}
 		return nil, nil, ErrQueueFull
 	}
@@ -663,7 +653,8 @@ func (s *Server) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, 
 	}
 	s.mu.Unlock()
 
-	s.runInlineBatch(estimates)
+	var lines logBatch
+	s.runInlineBatch(estimates, &lines)
 
 	sts = make([]client.JobStatus, len(jobs))
 	s.mu.Lock()
@@ -671,14 +662,23 @@ func (s *Server) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, 
 		sts[i] = s.statusLocked(j)
 	}
 	s.mu.Unlock()
-	s.logf("accepted batch of %d (%d queued, %d estimate)", len(jobs), nQueued, len(estimates))
+	if results {
+		for i, j := range jobs {
+			if sts[i].State == client.StateDone {
+				sts[i].Result = j.rawResult()
+			}
+		}
+	}
+	s.logTo(&lines, "accepted batch of %d (%d queued, %d estimate)", len(jobs), nQueued, len(estimates))
+	s.flushLog(&lines)
 	return sts, nil, nil
 }
 
 // runInlineBatch executes a batch's estimate items with bounded parallelism,
 // first occurrence of each key first so in-batch duplicates land on the
-// store (zero-copy raw hit) instead of simulating twice.
-func (s *Server) runInlineBatch(estimates []*job) {
+// store (zero-copy raw hit) instead of simulating twice. Their log lines go
+// to lines.
+func (s *Server) runInlineBatch(estimates []*job, lines *logBatch) {
 	if len(estimates) == 0 {
 		return
 	}
@@ -704,38 +704,45 @@ func (s *Server) runInlineBatch(estimates []*job) {
 			go func(j *job) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				s.runInline(j, true)
+				s.runInline(j, lines)
 			}(j)
 		}
 		wg.Wait()
 	}
 }
 
-// runInline executes an estimate job synchronously on the accept path: the
-// rung answers in microseconds, so it takes no queue slot, no journal record
-// and no worker, and the submission response already carries the terminal
-// state. Only drain gates admission — shedding and the queue cap protect
-// workers and queue slots, neither of which this path consumes. admitted
-// marks jobs SubmitBatch already registered and counted under its one lock
-// pass (an admitted batch runs to completion even if a drain starts
-// mid-batch, like any accepted job).
-func (s *Server) runInline(j *job, admitted bool) (client.JobStatus, error) {
-	if !admitted {
-		s.mu.Lock()
-		if s.draining || s.closed {
-			s.mu.Unlock()
-			if s.m != nil {
-				s.m.rejected.Inc()
-			}
-			return client.JobStatus{}, ErrDraining
-		}
-		s.jobs[j.id] = j
+// submitInline admits one estimate submission and answers it on the accept
+// path: the rung answers in microseconds, so it takes no queue slot, no
+// journal record and no worker, and the submission response already
+// carries the terminal state. Only drain gates admission — shedding and the
+// queue cap protect workers and queue slots, neither of which this path
+// consumes.
+func (s *Server) submitInline(j *job) (client.JobStatus, error) {
+	s.mu.Lock()
+	if s.draining || s.closed {
 		s.mu.Unlock()
 		if s.m != nil {
-			s.m.accepted.Inc()
+			s.m.rejected.Inc()
 		}
+		return client.JobStatus{}, ErrDraining
 	}
+	s.jobs[j.id] = j
+	s.mu.Unlock()
+	if s.m != nil {
+		s.m.accepted.Inc()
+	}
+	s.runInline(j, nil)
+	s.mu.Lock()
+	st := s.statusLocked(j)
+	s.mu.Unlock()
+	return st, nil
+}
 
+// runInline executes an admitted estimate job synchronously and publishes
+// its terminal state (an admitted batch runs to completion even if a drain
+// starts mid-batch, like any accepted job). Its log lines go to lines, or
+// straight to the log when lines is nil.
+func (s *Server) runInline(j *job, lines *logBatch) {
 	j.mu.Lock()
 	j.state = client.StateRunning
 	j.started = time.Now()
@@ -777,7 +784,7 @@ func (s *Server) runInline(j *job, admitted bool) (client.JobStatus, error) {
 			cycles = res.Cycles
 			if s.cfg.Store != nil {
 				if perr := s.cfg.Store.PutRunAt(j.cfg, j.spec.Name, j.plan.Key(), j.fidelity, res); perr != nil {
-					s.logf("store: put %s: %v", j.id, perr)
+					s.logTo(lines, "store: put %s: %v", j.id, perr)
 				}
 			}
 		}
@@ -807,11 +814,7 @@ func (s *Server) runInline(j *job, admitted bool) (client.JobStatus, error) {
 		}
 		s.m.jobLatency.Observe(total)
 	}
-	s.mu.Lock()
-	st := s.statusLocked(j)
-	s.mu.Unlock()
-	s.logf("%s %s fidelity=estimate source=%s total=%.6fs", state, j.id, source, total)
-	return st, nil
+	s.logTo(lines, "%s %s fidelity=estimate source=%s total=%.6fs", state, j.id, source, total)
 }
 
 // admitLocked applies the health-state machine to one submission: draining
@@ -1645,9 +1648,35 @@ func writeJSONAtomic(path string, v any) error {
 	return nil
 }
 
-func (s *Server) logf(format string, args ...any) {
+func (s *Server) logf(format string, args ...any) { s.logTo(nil, format, args...) }
+
+// logBatch gathers one batch's log lines so they reach the log in a single
+// Write instead of one write per job. Safe for concurrent use.
+type logBatch struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+// logTo formats one log line into b, or writes it straight to the log when
+// b is nil.
+func (s *Server) logTo(b *logBatch, format string, args ...any) {
 	if s.cfg.Log == nil {
 		return
 	}
-	fmt.Fprintf(s.cfg.Log, "sacd: "+format+"\n", args...)
+	if b == nil {
+		fmt.Fprintf(s.cfg.Log, "sacd: "+format+"\n", args...)
+		return
+	}
+	b.mu.Lock()
+	b.buf = append(b.buf, "sacd: "...)
+	b.buf = fmt.Appendf(b.buf, format, args...)
+	b.buf = append(b.buf, '\n')
+	b.mu.Unlock()
+}
+
+// flushLog writes b's gathered lines to the log.
+func (s *Server) flushLog(b *logBatch) {
+	if s.cfg.Log != nil && len(b.buf) > 0 {
+		_, _ = s.cfg.Log.Write(b.buf)
+	}
 }

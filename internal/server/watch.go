@@ -43,28 +43,13 @@ func WatchHandler(src JobSource) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		resp, werr := WatchJobs(r.Context(), src, ids, timeout)
+		resp, werr := WatchJobs(r.Context(), src, ids, timeout, results)
 		if werr != nil {
 			// Only ctx cancellation errors out: the client is gone, there is
 			// no one left to answer.
 			return
 		}
-		if results {
-			AttachResults(src, resp.Jobs)
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
-}
-
-// AttachResults inlines each done status's raw result bytes (the ?results=1
-// path): one response carries the payloads, no follow-up result fetches.
-func AttachResults(src JobSource, sts []client.JobStatus) {
-	for i := range sts {
-		if sts[i].State == client.StateDone && sts[i].Result == nil {
-			if raw, _, ok := src.ResultRaw(sts[i].ID); ok {
-				sts[i].Result = raw
-			}
-		}
+		writeWatch(w, resp)
 	}
 }
 
@@ -108,8 +93,10 @@ func ParseWatch(r *http.Request) (ids []string, timeout time.Duration, results b
 // unknown; an id can also turn unknown mid-wait (retention GC), which the
 // post-wake re-scan reports rather than silently dropping. Ctx cancellation
 // is an error; a bare timeout is a 200 with an empty Jobs list, so clients
-// can re-arm without special-casing.
-func WatchJobs(ctx context.Context, src JobSource, ids []string, timeout time.Duration) (client.WatchResponse, error) {
+// can re-arm without special-casing. With results, done statuses carry their
+// raw result bytes (the ?results=1 path), read in the same lookup as the
+// status, so one response needs no follow-up result fetches.
+func WatchJobs(ctx context.Context, src JobSource, ids []string, timeout time.Duration, results bool) (client.WatchResponse, error) {
 	seen := make(map[string]bool, len(ids))
 	uniq := ids[:0:0]
 	for _, id := range ids {
@@ -119,9 +106,19 @@ func WatchJobs(ctx context.Context, src JobSource, ids []string, timeout time.Du
 		}
 	}
 
+	status := src.Status
+	if results {
+		status = func(id string) (client.JobStatus, bool) {
+			raw, st, ok := src.ResultRaw(id)
+			if st.State == client.StateDone {
+				st.Result = raw
+			}
+			return st, ok
+		}
+	}
 	scan := func() (resp client.WatchResponse, pending []string) {
 		for _, id := range uniq {
-			st, ok := src.Status(id)
+			st, ok := status(id)
 			switch {
 			case !ok:
 				resp.Unknown = append(resp.Unknown, id)

@@ -10,10 +10,13 @@
 // write. Every object embeds a SHA-256 of its result payload, verified on
 // Get: bit rot, a torn write that still parses, or a hand-edited file is
 // caught before it deserializes into plausible garbage. The index (sizes +
-// recency for the LRU cap) is rewritten on every Put; recency bumps from
-// Get are flushed by Close and otherwise lost on a crash, which only
-// weakens eviction order, never correctness. A missing or corrupt index is
-// rebuilt by scanning the object directory; a corrupt or mismatched object
+// recency for the LRU cap) lives in memory and is persisted to index.json
+// only by Close, so a Put costs one object write whatever the store's size.
+// Open loads index.json and then removes it: after a crash there is no
+// index, and the next Open rebuilds sizes by scanning the object directory.
+// Recency (Put order and Get bumps) is lost on a crash, which only weakens
+// eviction order, never correctness. A corrupt index is rebuilt the same
+// way; a corrupt or mismatched object
 // is quarantined (renamed to .corrupt, preserved for forensics), counted,
 // and reported as a miss. The store is safe
 // for concurrent use by multiple goroutines of one process; concurrent
@@ -187,7 +190,7 @@ type Store struct {
 	// are immutable once inserted (callers must treat the returned
 	// RawMessage as read-only, which every server path does — the bytes go
 	// straight to the wire). Guarded by its own mutex so a hot hit never
-	// contends with Put's index rewrite.
+	// contends with Put's index update.
 	hotMu   sync.Mutex
 	hot     map[string]*list.Element // key → element whose Value is *hotEntry
 	hotLRU  *list.List               // front = most recently used
@@ -230,6 +233,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		// Corrupt or missing index: rebuild from the objects on disk.
 		s.rebuildIndex()
 	}
+	// The index on disk is only valid until the first Put; removing it now
+	// means a crash leaves no stale index behind, only the objects a rebuild
+	// trusts. Close writes it back. Best-effort, so a read-only store still
+	// opens for reads: a stale index costs eviction order, never a result.
+	_ = os.Remove(s.indexPath())
 	return s, nil
 }
 
@@ -531,7 +539,6 @@ func (s *Store) Put(key string, m KeyMaterial, res *stats.Run) error {
 	s.idx[key] = indexEntry{Size: int64(len(b)), Used: s.clock}
 	s.total += int64(len(b))
 	s.evictLocked()
-	s.saveIndexLocked()
 	return nil
 }
 
@@ -664,8 +671,8 @@ func (s *Store) Corrupt() int64 {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close flushes the recency clock to the index. The store must not be used
-// after Close.
+// Close persists the index (sizes and the recency clock) to index.json for
+// the next Open. The store must not be used after Close.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil

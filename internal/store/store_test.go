@@ -649,3 +649,98 @@ func TestHotTierDroppedOnQuarantine(t *testing.T) {
 		t.Fatal("quarantined key still served")
 	}
 }
+
+// TestPutDoesNotRewriteIndex pins that a Put costs one object write: the
+// index lives in memory until Close, and Open removes the copy on disk so
+// a crash can never leave a stale one behind.
+func TestPutDoesNotRewriteIndex(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	index := filepath.Join(dir, "index.json")
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range []string{"BP", "RN", "SN"} {
+		if err := s.PutRun(cfg, b, "", testRun(b, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(index); !os.IsNotExist(err) {
+			t.Fatalf("index.json present after Put %d (stat err %v), want none until Close", i, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(index); err != nil {
+		t.Fatalf("Close wrote no index: %v", err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(index); !os.IsNotExist(err) {
+		t.Fatalf("index.json still present after Open (stat err %v)", err)
+	}
+	if s2.Len() != 3 || s2.SizeBytes() != s.SizeBytes() {
+		t.Fatalf("reopened store: %d entries, %d bytes; want 3 and %d", s2.Len(), s2.SizeBytes(), s.SizeBytes())
+	}
+}
+
+// TestCrashReopenRebuildsIndex simulates a crash (no Close) after Puts that
+// evicted under the LRU cap: the next Open must rebuild every surviving
+// entry with its exact on-disk size, and the cap must keep holding.
+func TestCrashReopenRebuildsIndex(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	probe, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.PutRun(cfg, "BP", "", testRun("BP", 1)); err != nil {
+		t.Fatal(err)
+	}
+	objSize := probe.SizeBytes()
+	limit := objSize*3 + objSize/2
+
+	s, err := Open(dir, Options{MaxBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	benches := []string{"BP", "RN", "SN", "AN", "CFD"}
+	for _, b := range benches {
+		if err := s.PutRun(cfg, b, "", testRun(b, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantLen, wantBytes := s.Len(), s.SizeBytes()
+	if wantLen != 3 {
+		t.Fatalf("store holds %d objects, want 3 under the cap", wantLen)
+	}
+	// Crash: no Close, so no index on disk.
+	s2, err := Open(dir, Options{MaxBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != wantLen || s2.SizeBytes() != wantBytes {
+		t.Fatalf("after crash: %d entries, %d bytes; want %d and %d", s2.Len(), s2.SizeBytes(), wantLen, wantBytes)
+	}
+	for _, b := range benches[len(benches)-wantLen:] {
+		if _, ok := s2.Get(Key(cfg, b, "")); !ok {
+			t.Fatalf("%s unreachable after crash rebuild", b)
+		}
+	}
+	for _, b := range []string{"BT", "3DC"} {
+		if err := s2.PutRun(cfg, b, "", testRun(b, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s2.Len() != 3 || s2.SizeBytes() > limit {
+		t.Fatalf("after more Puts: %d entries, %d bytes; want 3 within %d", s2.Len(), s2.SizeBytes(), limit)
+	}
+	for _, b := range []string{"BT", "3DC"} {
+		if _, ok := s2.Get(Key(cfg, b, "")); !ok {
+			t.Fatalf("newest entry %s evicted", b)
+		}
+	}
+}

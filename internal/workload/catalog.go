@@ -52,8 +52,27 @@ func mpKernel(name string, privMB, falseMB, trueMB, windowMB float64) Kernel {
 	}
 }
 
+// catalog is the Table 4 table, built once. Lookups hand out copies with
+// their own Kernels slices, so no caller can edit the shared table.
+var catalog = buildCatalog()
+
 // Catalog returns the 16 benchmarks of Table 4 in paper order (SP first).
+// Every call returns fresh copies the caller may modify.
 func Catalog() []Spec {
+	out := make([]Spec, len(catalog))
+	for i, s := range catalog {
+		out[i] = s.clone()
+	}
+	return out
+}
+
+// clone returns s with its own Kernels slice (Kernel is a flat value).
+func (s Spec) clone() Spec {
+	s.Kernels = append([]Kernel(nil), s.Kernels...)
+	return s
+}
+
+func buildCatalog() []Spec {
 	return []Spec{
 		// --- SM-side preferred (top half of Table 4) ---
 		{Name: "RN", Suite: "Tango", CTAs: 512, SMSide: true, Repeats: 1,
@@ -157,11 +176,11 @@ func Table4() []Table4Row {
 	}
 }
 
-// ByName returns the catalog spec with the given name.
+// ByName returns a copy of the catalog spec with the given name.
 func ByName(name string) (Spec, error) {
-	for _, s := range Catalog() {
+	for _, s := range catalog {
 		if s.Name == name {
-			return s, nil
+			return s.clone(), nil
 		}
 	}
 	return Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
@@ -169,9 +188,8 @@ func ByName(name string) (Spec, error) {
 
 // Names returns the benchmark names in paper order.
 func Names() []string {
-	c := Catalog()
-	out := make([]string, len(c))
-	for i, s := range c {
+	out := make([]string, len(catalog))
+	for i, s := range catalog {
 		out[i] = s.Name
 	}
 	return out

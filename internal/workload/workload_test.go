@@ -466,3 +466,44 @@ func TestStreamsCoverAllRegionsCollectively(t *testing.T) {
 		t.Fatalf("covered %d of %d lines", gotLines, wantLines)
 	}
 }
+
+// TestCatalogCopiesAreIsolated pins that the once-built table never leaks:
+// editing a spec returned by ByName or Catalog, kernels included, must not
+// change what the next lookup returns.
+func TestCatalogCopiesAreIsolated(t *testing.T) {
+	want, err := ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKernels := append([]Kernel(nil), want.Kernels...)
+
+	got, _ := ByName("BFS")
+	got.Name, got.Repeats = "edited", 99
+	got.Kernels[0].TrueMB = -1
+	got.Kernels = append(got.Kernels, Kernel{Name: "extra"})
+	cat := Catalog()
+	for i := range cat {
+		cat[i].CTAs = -1
+		for k := range cat[i].Kernels {
+			cat[i].Kernels[k].PrivateMB = -1
+		}
+	}
+
+	again, _ := ByName("BFS")
+	if again.Name != "BFS" || again.Repeats != want.Repeats || again.CTAs != want.CTAs {
+		t.Fatalf("ByName(BFS) after edits = %+v, want %+v", again, want)
+	}
+	if len(again.Kernels) != len(wantKernels) {
+		t.Fatalf("BFS has %d kernels after edits, want %d", len(again.Kernels), len(wantKernels))
+	}
+	for i, k := range again.Kernels {
+		if k != wantKernels[i] {
+			t.Fatalf("kernel %d after edits = %+v, want %+v", i, k, wantKernels[i])
+		}
+	}
+	for _, s := range Catalog() {
+		if s.CTAs < 0 || s.Kernels[0].PrivateMB < 0 {
+			t.Fatalf("Catalog() after edits returned an edited spec %s", s.Name)
+		}
+	}
+}

@@ -7,7 +7,11 @@ package sac_test
 // and the zero-copy store-hit plumbing — everything but simulation cost.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -135,4 +139,55 @@ func BenchmarkRemoteEstimateSweepPerJob(b *testing.B) {
 		sweepPerJob(b, c, universe)
 	}
 	b.ReportMetric(float64(b.N*len(universe))/b.Elapsed().Seconds(), "jobs/s")
+}
+
+// BenchmarkWarmBatch measures one warm 64-job jobs:batch?results=1 through
+// sacd's real handler, in process with no sockets: every job is a hot-tier
+// store hit answered inline, as on a warmed daemon, and the client asks for
+// gzip like the Go client does. Allocations are per 64-job batch.
+func BenchmarkWarmBatch(b *testing.B) {
+	const batch = 64
+	universe := remoteUniverse()
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := server.New(server.Config{Store: st, Log: io.Discard})
+	s.Start()
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+		st.Close()
+	})
+	h := s.Handler()
+	post := func(body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs:batch?results=1", bytes.NewReader(body))
+		req.Header.Set("Accept-Encoding", "gzip")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			b.Fatalf("HTTP %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	var bodies [][]byte
+	for off := 0; off < len(universe); off += batch {
+		body, err := json.Marshal(client.BatchRequest{Jobs: universe[off : off+batch]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	// Twice: simulate and store, then read every result into the hot tier.
+	for pass := 0; pass < 2; pass++ {
+		for _, body := range bodies {
+			post(body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i%len(bodies)])
+	}
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "jobs/s")
 }
